@@ -75,7 +75,7 @@ PARALLEL_WORKERS_ENV = "AQUA_PARALLEL_WORKERS"
 DEFAULT_PARALLEL_WORKERS = "auto"
 
 #: Environment knob: minimum member count before an extent is worth
-#: sharding.  Small inputs pay more in worker arming (thread spawn,
+#: fanning out.  Small inputs pay more in worker arming (thread spawn,
 #: guard/match-scope re-arming) than they save — mirrored by the
 #: optimizer's exchange cost term (`EXCHANGE_WORKER_COST`).
 PARALLEL_MIN_ROWS_ENV = "AQUA_PARALLEL_MIN_ROWS"
@@ -345,7 +345,7 @@ def validated_parallel_workers(workers: int | str | None = None) -> int:
 
 @contextmanager
 def parallel_min_rows_scope(min_rows: int | None) -> Iterator[None]:
-    """Arm a thread-local sharding threshold (tests force 0 to engage)."""
+    """Arm a thread-local fan-out threshold (tests force 0 to engage)."""
     if min_rows is not None and min_rows < 0:
         raise _bad_knob(PARALLEL_MIN_ROWS_ENV, min_rows, "an integer >= 0")
     previous = getattr(_local, "parallel_min_rows", None)
@@ -357,7 +357,7 @@ def parallel_min_rows_scope(min_rows: int | None) -> Iterator[None]:
 
 
 def validated_parallel_min_rows(min_rows: int | None = None) -> int:
-    """Resolve the sharding threshold: argument > scope > env > default."""
+    """Resolve the fan-out threshold: argument > scope > env > default."""
     chosen: int | None = min_rows
     if chosen is None:
         chosen = getattr(_local, "parallel_min_rows", None)

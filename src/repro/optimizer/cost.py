@@ -63,10 +63,13 @@ CLOSURE_BASE_MEMO = 1.25
 
 
 #: Fixed cost of standing up one exchange worker (thread spawn, scope
-#: re-arming, shard bookkeeping, merge traffic), in predicate-evaluation
+#: re-arming, morsel bookkeeping, merge traffic), in predicate-evaluation
 #: units.  With the default two-way fan-out this prices the break-even
 #: input at 256 rows — which is why ``AQUA_PARALLEL_MIN_ROWS`` defaults
-#: to exactly that: the static gate and the runtime gate agree.
+#: to exactly that: the static gate and the runtime gate agree.  It is
+#: a fixed price, not a measured one: what a worker actually buys
+#: depends on how much of the member work releases the GIL (see
+#: :func:`exchange_profitable`).
 EXCHANGE_WORKER_COST = 64.0
 
 
@@ -81,6 +84,18 @@ def exchange_profitable(
     lowering asks with the *minimum* useful fan-out (two workers), so a
     plan priced profitable here stays profitable at any larger worker
     count the runtime is granted.
+
+    The ``1/workers`` term is optimistic for thread workers: they
+    overlap only work that releases the GIL (storage IO, sleeps, native
+    kernels).  A CPU-bound member — a pure-Python predicate or pattern
+    match — runs at ×1.0 at best, so the fan-out can only ever pay for
+    itself there by costing nothing.  On the perfbench ``set_fanout``
+    workload (2-vCPU host) the heavy ``sapply`` of a Figure-4 split over
+    300 trees runs at the same speed either way.  The light ``sselect``
+    over 6k rows took 114–137 ms through the exchange against 33–42 ms
+    with ``AQUA_PARALLEL=off`` while every row was its own queue
+    hand-off — which is why workers hand results back one morsel at a
+    time (about 23 ms since, a little under the sequential time).
     """
     if workers < 2:
         return False
@@ -267,7 +282,10 @@ class CostModel:
             return min(self.estimated_rows(node.left), self.estimated_rows(node.right))
         if isinstance(node, E.SetDifference):
             return self.estimated_rows(node.left)
-        # apply/flatten and anything cardinality-preserving by default.
+        if isinstance(node, (E.TreeApply, E.ListApply, E.SetApply, E.SetFlatten)):
+            # Cardinality-preserving: as many rows as the input produces,
+            # not as many as the base source under it holds.
+            return self.estimated_rows(node.input)
         return size
 
     # -- calibration against runtime metrics --------------------------------

@@ -1,38 +1,43 @@
-"""Sharded, parallel physical execution: exchange + ordered merge.
+"""Morsel-driven parallel physical execution: exchange + ordered merge.
 
 ROADMAP item 3.  The Volcano layer (PR 3) is single-threaded; this
 module fans the per-member work of set-shaped operators out to a worker
-pool and re-interleaves the shard streams so the output is
-**bit-identical** to the sequential pipeline — the paper's stability
-guarantee for ordered bulk types is what makes that contract precise
-(§3: ``select``/``split`` preserve source order, so a parallel merge
-must too).
+pool and reassembles the results so the output is **bit-identical** to
+the sequential pipeline — the paper's stability guarantee for ordered
+bulk types is what makes that contract precise (§3: ``select``/``split``
+preserve source order, so a parallel merge must too).
 
 Pieces:
 
-* :class:`ShardPlanner` — partitions the staged input into shards
-  (``hash`` on root OID or ``range`` on pre-order position, via
-  :mod:`repro.storage.sharding`).  Members are never split, so each
-  stored tree's cached :class:`~repro.storage.columnar.ColumnarExtent`
-  cut is reused by whichever worker owns it.
+* :func:`morsel_bounds` — cuts the staged input into contiguous
+  position ranges (*morsels*, after Leis et al., "Morsel-Driven
+  Parallelism", SIGMOD 2014).  Workers pull the next morsel from a
+  shared cursor, so a worker stuck behind one oversized member leaves
+  the rest of the input to its siblings: skew is balanced dynamically
+  rather than predicted by a partitioning hash.  Members are never
+  split, so each stored tree's cached
+  :class:`~repro.storage.columnar.ColumnarExtent` cut is reused by
+  whichever worker evaluates it.
 * :class:`ExchangeOp` — the fan-out base grafted onto a sequential
   operator (:class:`ParallelSelectFilter`, :class:`ParallelApplyMap`).
   It *gates itself per execution*, exactly like the columnar operators:
   ``AQUA_PARALLEL=off``, an input under ``AQUA_PARALLEL_MIN_ROWS``, or
   an exhausted worker budget all degrade to the inherited
   single-threaded loop bit-identically.
-* :class:`OrderedMergeOp` — re-interleaves shard result streams by
-  source position.  Workers emit positions in ascending order within
-  their shard, so the merge buffers only the out-of-order frontier
-  (reported honestly via ``note_buffered``).
+* :class:`OrderedMergeOp` — yields morsel results in morsel order.  A
+  worker posts one message per finished morsel (its counters folded
+  once per morsel, not per row), so the hand-off costs a handful of
+  queue messages per execution whatever the input size; the merge
+  buffers only morsels that finished ahead of an earlier one (reported
+  honestly via ``note_buffered``).
 * :class:`ShardGuard` / :class:`SharedSpend` — budget propagation.
   Each worker re-arms the thread-local guard
   (:func:`repro.guardrails.armed`) with a guard built from the parent
   budget's :meth:`~repro.guardrails.Budget.carve` (the deadline keeps
   its absolute end) whose cumulative counters (``max_steps``,
   ``max_nodes_scanned``) flow through one lock-guarded ledger shared by
-  every sibling — a trip anywhere stops all shards, and the tripping
-  shard is attributed in the partial EXPLAIN ANALYZE.
+  every sibling — a trip anywhere stops all workers, and the tripping
+  worker ("shard") is attributed in the partial EXPLAIN ANALYZE.
 * :class:`WorkerBudget` — the process-wide cap on live exchange
   workers.  A pooled session's query may itself fan out; both layers
   draw from this one budget, so concurrency × parallelism never
@@ -45,22 +50,24 @@ parameter bindings, the stats activation + a private attribution frame,
 and :func:`~repro.patterns.tree_memo.match_scope` — without this a bare
 thread silently escaped budgets, counters and memo sharing.
 
-``AQUA_PARALLEL_MODE=processes`` runs shards on fork-based worker
-processes instead (CPU-bound matching on multi-core machines; the GIL
-caps thread-mode speedups at whatever share of per-member work releases
-it).  Process mode is a barrier (results return when every shard is
-done), enforces the carved deadline per shard rather than a shared
-cumulative ledger, and falls back to threads — counted as
-``parallel_process_fallbacks`` — when fork or result pickling is
-unavailable.
+``AQUA_PARALLEL_MODE=processes`` maps the same morsels over fork-based
+worker processes instead (CPU-bound matching on multi-core machines;
+the GIL caps thread-mode speedups at whatever share of per-member work
+releases it).  Process mode is a barrier (results return when every
+morsel is done), enforces the carved deadline and counter limits per
+morsel rather than through a shared cumulative ledger, and falls back
+to threads — counted as ``parallel_process_fallbacks`` — when fork or
+result pickling is unavailable.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack
 from typing import Any, Callable, Iterator
 
@@ -69,7 +76,6 @@ from ..errors import QueryCancelledError, ResourceExhaustedError
 from ..guardrails import Budget, Guard
 from ..patterns.tree_memo import match_scope
 from ..query.metrics import PlanMetrics
-from ..storage.sharding import Shard, plan_shards
 from .operators import ApplyMap, SelectFilter
 
 #: Worker guards flush their locally-batched step count to the shared
@@ -181,100 +187,115 @@ class WorkerBudget:
 WORKER_BUDGET = WorkerBudget()
 
 
-class ShardPlanner:
-    """Decides the shard count and which members land in each shard."""
+#: Morsels cut per granted worker.  More morsels balance skew more
+#: finely (a slow member holds back at most its own morsel); each one
+#: costs a queue hand-off, a counter fold and a buffer note, so a few
+#: per worker keep the merge traffic constant in the input size.
+MORSELS_PER_WORKER = 4
 
-    def __init__(self, workers: int, strategy: str = "hash") -> None:
-        self.workers = workers
-        self.strategy = strategy
+#: One morsel: the half-open source position range ``[start, end)``.
+Morsel = tuple[int, int]
 
-    def plan(self, members: list[Any]) -> list[Shard]:
-        """Partition the staged members, one shard per granted worker.
 
-        Whole members only — a stored tree's columnar cut
-        (``db.columnar_extent``, cached by tree identity) is therefore
-        built at most once regardless of which worker evaluates it.
-        """
-        count = min(self.workers, len(members))
-        return plan_shards(members, count, self.strategy)
+def morsel_bounds(total: int, workers: int) -> list[Morsel]:
+    """Cut positions ``[0, total)`` into contiguous morsels, in order.
+
+    ``workers × MORSELS_PER_WORKER`` of them (never more than ``total``,
+    so none is empty); sizes differ by at most one.
+    """
+    count = max(1, min(total, workers * MORSELS_PER_WORKER))
+    return [(i * total // count, (i + 1) * total // count) for i in range(count)]
+
+
+def morsel_cursor(count: int) -> Callable[[], int | None]:
+    """A thread-safe ``pull()`` handing out ``0 … count-1`` once each,
+    in order, then ``None``."""
+    indices = iter(range(count))
+    lock = threading.Lock()
+
+    def pull() -> int | None:
+        with lock:
+            return next(indices, None)
+
+    return pull
 
 
 class OrderedMergeOp:
-    """Re-interleaves shard result streams by source position.
+    """Yields morsel results in morsel (hence source) order.
 
     Not a plan node: it runs *inside* the exchange operator at the
     exchange's plan path, so EXPLAIN paths keep mirroring the logical
-    tree one-to-one.  Workers post ``("row", position, payload)``
-    messages in ascending position order within their shard;
-    :meth:`merged` yields ``(position, payload)`` in globally ascending
-    order, buffering only the out-of-order frontier.  A worker error is
-    re-raised here — after every worker has parked, so no thread is
-    still producing while the exception unwinds.
+    tree one-to-one.  Workers post one ``("morsel", index, payloads)``
+    message per finished morsel and a final ``("done", error, registry,
+    summary)``; :meth:`merged` yields ``(start, payloads)`` pairs in
+    morsel order, buffering only the morsels that finished ahead of an
+    earlier one.  A worker error is re-raised here — after every worker
+    has parked, so no thread is still producing while the exception
+    unwinds.
     """
 
     def __init__(
         self,
-        shard_count: int,
-        on_buffered: Callable[[int], None] | None = None,
+        morsels: list[Morsel],
+        worker_count: int,
+        on_buffered: Callable[[int], None],
     ) -> None:
-        self.shard_count = shard_count
+        self.morsels = morsels
+        self.worker_count = worker_count
         self.on_buffered = on_buffered
         self.registries: list[PlanMetrics] = []
         self.summaries: list[dict[str, Any]] = []
         self.error: BaseException | None = None
 
-    def merged(self, results: "queue.Queue[tuple]") -> Iterator[tuple[int, Any]]:
-        next_position = 0
-        pending: dict[int, Any] = {}
+    def merged(self, results: "queue.Queue[tuple]") -> Iterator[tuple[int, list]]:
+        next_index = 0
+        pending: dict[int, list] = {}
+        buffered = 0
         finished = 0
-        while finished < self.shard_count:
+        while finished < self.worker_count:
             message = results.get()
-            kind = message[0]
-            if kind == "row":
-                _, position, payload = message
-                pending[position] = payload
-                if self.on_buffered is not None:
-                    self.on_buffered(len(pending))
-                while next_position in pending:
-                    yield next_position, pending.pop(next_position)
-                    next_position += 1
+            if message[0] == "morsel":
+                _, index, payloads = message
+                pending[index] = payloads
+                buffered += len(payloads)
+                self.on_buffered(buffered)
+                while next_index in pending:
+                    payloads = pending.pop(next_index)
+                    buffered -= len(payloads)
+                    yield self.morsels[next_index][0], payloads
+                    next_index += 1
                 continue
-            if kind == "done":
-                _, _index, registry, summary = message
-            else:  # "error"
-                _, _index, exc, registry, summary = message
-                if self.error is None:
-                    self.error = exc
+            _, exc, registry, summary = message
+            if self.error is None:
+                self.error = exc
             finished += 1
             self.registries.append(registry)
             self.summaries.append(summary)
         self.summaries.sort(key=lambda summary: summary["shard"])
         if self.error is not None:
             raise self.error
-        while next_position in pending:
-            yield next_position, pending.pop(next_position)
-            next_position += 1
 
 
 # -- process-mode plumbing -----------------------------------------------------
 #
-# Fork-based workers inherit the staged shards through this module
-# global (set immediately before the pool is created, cleared right
-# after), so nothing but the *results* ever crosses a pickle boundary —
-# member payload functions are ordinary closures.
+# Fork-based workers inherit the staged input and its morsels through
+# this module global (set immediately before the pool is created,
+# cleared right after), so nothing but the *results* ever crosses a
+# pickle boundary — member payload functions are ordinary closures.
 
 _PROCESS_STATE: tuple | None = None
 
 
 def _process_entry(index: int) -> tuple:
-    """Run one shard inside a forked worker process."""
+    """Evaluate one morsel inside a forked worker process."""
     from ..storage.stats import Instrumentation
 
-    member_fn, counter_name, shards, budget, stats_active = _PROCESS_STATE  # type: ignore[misc]
+    member_fn, counter_name, staged, morsels, budget, stats_active = _PROCESS_STATE  # type: ignore[misc]
     sink = Instrumentation()
-    produced: list[tuple[int, Any]] = []
-    members = 0
+    start, end = morsels[index]
+    produced: list[Any] = []
     usage: dict[str, Any] = {}
+    trip: dict[str, Any] | None = None
     try:
         with ExitStack() as scopes:
             guard = scopes.enter_context(guardrails.guarded(budget))
@@ -283,64 +304,57 @@ def _process_entry(index: int) -> tuple:
             # sink would have captured them too.
             if stats_active:
                 scopes.enter_context(sink.activated())
-            for position, row in shards[index]:
-                if counter_name is not None:
-                    sink.bump(counter_name)
-                produced.append((position, member_fn(row)))
-                members += 1
+            for position in range(start, end):
+                produced.append(member_fn(staged[position]))
             if guard is not None:
                 usage = guard.usage()
     except ResourceExhaustedError as exc:
         # Exceptions with keyword-only constructors don't survive
         # pickling; ship the fields and rebuild parent-side.
-        return (
-            "tripped",
-            index,
-            {
-                "message": str(exc),
-                "limit_name": exc.limit_name,
-                "limit": exc.limit,
-                "spent": exc.spent,
-                "seam": exc.seam,
-            },
-            members,
-            sink.snapshot(),
-        )
+        trip = {
+            "message": str(exc),
+            "limit_name": exc.limit_name,
+            "limit": exc.limit,
+            "spent": exc.spent,
+            "seam": exc.seam,
+        }
     except QueryCancelledError as exc:
-        return ("cancelled", index, str(exc), members, sink.snapshot())
-    return ("ok", index, produced, members, sink.snapshot(), usage)
+        trip = {"message": str(exc)}
+    if counter_name is not None:
+        sink.bump(counter_name, len(produced))
+    return os.getpid(), produced, sink.snapshot(), usage, trip
 
 
 class ExchangeOp:
     """Fan-out mixin grafted onto a sequential set operator.
 
     Subclasses pair this with the operator whose per-member loop they
-    parallelize and provide three hooks: :meth:`member_payload_fn` (the
-    worker-side per-member callable), :meth:`payload_cardinality` (how
-    many output rows a payload contributes, for shard summaries) and
-    :meth:`emit` (the main-thread, in-order reduction from payloads to
-    output rows — where set dedup happens, globally, in first-seen
-    source order).
+    parallelize and provide three hooks: :meth:`payload_fn` (the
+    worker-side per-member callable, plus the counter each evaluation
+    credits), :meth:`payload_cardinality` (how many output rows a
+    payload contributes, for shard summaries) and :meth:`emit` (the
+    main-thread, in-order reduction from payloads to output rows —
+    where set dedup happens, globally, in first-seen source order).
     """
-
-    #: ``hash`` (root-OID) or ``range`` (pre-order position blocks).
-    shard_strategy = "hash"
 
     # -- subclass hooks ------------------------------------------------------
 
-    def member_payload_fn(self) -> Callable[[Any], Any]:
-        raise NotImplementedError
+    def payload_fn(self) -> tuple[Callable[[Any], Any], str | None]:
+        """(raw per-member callable, counter to credit per evaluation).
 
-    def process_payload_fn(self) -> tuple[Callable[[Any], Any], str | None]:
-        """Worker-process variant: (raw callable, counter to bump per member)."""
-        return self.member_payload_fn(), None
+        Workers evaluate a whole morsel with the raw callable and credit
+        the counter once per morsel — a per-row bump would take the
+        instrumentation lock once per member.
+        """
+        raise NotImplementedError
 
     def payload_cardinality(self, payload: Any) -> int:
         return 1
 
     def emit(
-        self, staged: list[Any], merged: Iterator[tuple[int, Any]], equality
+        self, staged: list[Any], merged: Iterator[tuple[int, list]], equality
     ) -> Iterator[Any]:
+        """Reduce ``(start, payloads)`` morsels, in order, to output rows."""
         raise NotImplementedError
 
     # -- the gated fan-out ---------------------------------------------------
@@ -353,7 +367,8 @@ class ExchangeOp:
             return
         source, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        min_rows = max(1, config.validated_parallel_min_rows())
+        # Two rows at least: a single row has nothing to fan out.
+        min_rows = max(2, config.validated_parallel_min_rows())
         staged: list[Any] = []
         for row in source:
             staged.append(row)
@@ -366,7 +381,7 @@ class ExchangeOp:
             yield from self._member_rows(iter(staged), equality)
             return
         workers = config.validated_parallel_workers()
-        requested = min(workers, len(staged) + 1)
+        requested = min(workers, len(staged))
         granted = WORKER_BUDGET.acquire(requested, capacity=workers)
         try:
             if granted < 2:
@@ -374,20 +389,20 @@ class ExchangeOp:
                     self._chain(staged, source), equality
                 )
                 return
-            for row in source:  # the planner needs the whole input
+            for row in source:  # morsels are cut over the whole input
                 staged.append(row)
             self.note_buffered(len(staged))
-            shards = ShardPlanner(granted, self.shard_strategy).plan(staged)
+            morsels = morsel_bounds(len(staged), granted)
             stats = self.ctx.stats
             stats.bump("exchange_fanouts")
-            stats.bump("exchange_shards", len(shards))
+            stats.bump("exchange_shards", granted)
             if config.validated_parallel_worker_kind() == "processes":
-                produced = self._run_shards_processes(shards, staged, equality)
+                produced = self._run_processes(morsels, granted, staged, equality)
                 if produced is not None:
                     yield from produced
                     return
                 stats.bump("parallel_process_fallbacks")
-            yield from self._run_shards_threads(shards, staged, equality)
+            yield from self._run_threads(morsels, granted, staged, equality)
         finally:
             WORKER_BUDGET.release(granted)
 
@@ -398,8 +413,8 @@ class ExchangeOp:
 
     # -- thread workers ------------------------------------------------------
 
-    def _run_shards_threads(
-        self, shards: list[Shard], staged: list[Any], equality
+    def _run_threads(
+        self, morsels: list[Morsel], worker_count: int, staged: list[Any], equality
     ) -> Iterator[Any]:
         ctx = self.ctx
         parent_guard = ctx.guard
@@ -411,28 +426,22 @@ class ExchangeOp:
         )
         bindings = params.current_bindings()
         stats_active = ctx.stats.is_activated
+        pull = morsel_cursor(len(morsels))
         results: "queue.Queue[tuple]" = queue.Queue()
         stop = threading.Event()
         workers = [
             threading.Thread(
                 target=self._thread_worker,
-                args=(
-                    index,
-                    shard,
-                    shard_budget,
-                    shared,
-                    results,
-                    stop,
-                    bindings,
-                    stats_active,
-                ),
+                args=(index, pull, morsels, staged, shard_budget, shared,
+                      results, stop, bindings, stats_active),
                 name=f"aqua-exchange-{index}",
                 daemon=True,
             )
-            for index, shard in enumerate(shards)
+            for index in range(worker_count)
         ]
         merge = OrderedMergeOp(
-            len(shards),
+            morsels,
+            worker_count,
             on_buffered=lambda frontier: self.note_buffered(len(staged) + frontier),
         )
         try:
@@ -449,12 +458,14 @@ class ExchangeOp:
             # second trip raised from a finally block.
             checked = sys.exc_info()[0] is None
             self._write_back_spend(shared, parent_guard, checked=checked)
-            self._record_shards(merge.registries, merge.summaries, "threads")
+            self._record_shards(merge.registries, merge.summaries)
 
     def _thread_worker(
         self,
         index: int,
-        shard: Shard,
+        pull: Callable[[], int | None],
+        morsels: list[Morsel],
+        staged: list[Any],
         shard_budget: Budget | None,
         shared: SharedSpend,
         results: "queue.Queue[tuple]",
@@ -478,7 +489,9 @@ class ExchangeOp:
             if shard_budget is not None
             else None
         )
-        payload_fn = self.member_payload_fn()
+        payload_fn, counter_name = self.payload_fn()
+        cardinality = self.payload_cardinality
+        error: BaseException | None = None
         started = time.perf_counter()
         try:
             with ExitStack() as scopes:
@@ -493,30 +506,35 @@ class ExchangeOp:
                     scopes.enter_context(ctx.stats.activated())
                 scopes.enter_context(ctx.stats.attribute_to(record))
                 scopes.enter_context(match_scope(ctx.db))
-                for position, row in shard:
-                    if stop.is_set():
+                while (morsel := pull()) is not None:
+                    start, end = morsels[morsel]
+                    payloads: list[Any] = []
+                    try:
+                        for position in range(start, end):
+                            if stop.is_set():
+                                break
+                            payloads.append(payload_fn(staged[position]))
+                    finally:
+                        # One fold per morsel, evaluated members only
+                        # (a trip or a stop leaves the morsel short).
+                        if counter_name is not None and payloads:
+                            ctx.stats.bump(counter_name, len(payloads))
+                        summary["members"] += len(payloads)
+                        summary["rows"] += sum(map(cardinality, payloads))
+                    if len(payloads) < end - start:
                         break
-                    payload = payload_fn(row)
-                    summary["members"] += 1
-                    summary["rows"] += self.payload_cardinality(payload)
-                    results.put(("row", position, payload))
+                    results.put(("morsel", morsel, payloads))
                 if guard is not None:
                     guard.flush("shard exit")
         except BaseException as exc:  # noqa: BLE001 - forwarded to the merge
             stop.set()
-            if isinstance(exc, ResourceExhaustedError):
+            if isinstance(exc, (ResourceExhaustedError, QueryCancelledError)):
                 summary["tripped"] = True
-                summary["trip"] = exc.limit_name
+                summary["trip"] = getattr(exc, "limit_name", "cancelled")
                 exc.tripping_shard = index
-            elif isinstance(exc, QueryCancelledError):
-                summary["tripped"] = True
-                summary["trip"] = "cancelled"
-                exc.tripping_shard = index
-            self._seal_summary(summary, record, started)
-            results.put(("error", index, exc, registry, summary))
-            return
+            error = exc
         self._seal_summary(summary, record, started)
-        results.put(("done", index, registry, summary))
+        results.put(("done", error, registry, summary))
 
     @staticmethod
     def _seal_summary(summary: dict[str, Any], record, started: float) -> None:
@@ -546,19 +564,15 @@ class ExchangeOp:
             parent_guard.nodes_scanned += shared.nodes
 
     def _record_shards(
-        self,
-        registries: list[PlanMetrics],
-        summaries: list[dict[str, Any]],
-        mode: str,
+        self, registries: list[PlanMetrics], summaries: list[dict[str, Any]]
     ) -> None:
-        """Aggregate per-shard metrics into this operator's record.
+        """Aggregate per-worker metrics into this operator's record.
 
         Counters roll up through :meth:`PlanMetrics.merge` with
-        ``wall="max"`` — shard walls overlapped, so the rolled-up wall
-        is the slowest shard — and the per-shard summaries are kept for
+        ``wall="max"`` — workers overlapped, so the rolled-up wall is
+        the slowest worker — and the per-worker summaries are kept for
         EXPLAIN ANALYZE's shard rows.
         """
-        del mode
         if self.op_metrics is None or not registries:
             if self.op_metrics is not None and summaries:
                 self.op_metrics.shards = summaries
@@ -573,10 +587,10 @@ class ExchangeOp:
 
     # -- process workers -----------------------------------------------------
 
-    def _run_shards_processes(
-        self, shards: list[Shard], staged: list[Any], equality
+    def _run_processes(
+        self, morsels: list[Morsel], worker_count: int, staged: list[Any], equality
     ) -> Iterator[Any] | None:
-        """Run the shards on forked worker processes, or ``None`` to
+        """Map the morsels over forked worker processes, or ``None`` to
         fall back to threads (no fork, pickling failure, …)."""
         global _PROCESS_STATE
         import multiprocessing
@@ -585,81 +599,72 @@ class ExchangeOp:
             return None
         ctx = self.ctx
         parent_guard = ctx.guard
-        shard_budget = None
+        morsel_budget = None
         if parent_guard is not None:
             # Processes can't share the spend ledger, and the parent's
             # cancellation token is a forked copy the parent can't flip;
-            # each shard gets the carved budget (absolute deadline
-            # preserved, per-shard counter limits) — documented in the
+            # each morsel gets the carved budget (absolute deadline
+            # preserved, per-morsel counter limits) — documented in the
             # README knob table.
-            shard_budget = parent_guard.budget.carve(parent_guard.elapsed())
-        member_fn, counter_name = self.process_payload_fn()
-        outcomes = None
+            morsel_budget = parent_guard.budget.carve(parent_guard.elapsed())
+        member_fn, counter_name = self.payload_fn()
         try:
             _PROCESS_STATE = (
                 member_fn,
                 counter_name,
-                shards,
-                shard_budget,
+                staged,
+                morsels,
+                morsel_budget,
                 ctx.stats.is_activated,
             )
-            with multiprocessing.get_context("fork").Pool(len(shards)) as pool:
-                outcomes = pool.map(_process_entry, range(len(shards)))
+            with multiprocessing.get_context("fork").Pool(worker_count) as pool:
+                # chunksize 1: each process pulls the next morsel when
+                # it finishes one, as thread workers do.
+                outcomes = pool.map(_process_entry, range(len(morsels)), chunksize=1)
         except Exception:
             return None
         finally:
             _PROCESS_STATE = None
-        produced: dict[int, Any] = {}
-        summaries: list[dict[str, Any]] = []
+        # One summary per worker process, numbered by first appearance.
+        by_pid: dict[int, dict[str, Any]] = {}
         error: ResourceExhaustedError | QueryCancelledError | None = None
-        for outcome in outcomes:
-            kind, index = outcome[0], outcome[1]
-            summary: dict[str, Any] = {
-                "shard": index,
+        for pid, produced, counters, usage, trip in outcomes:
+            summary = by_pid.setdefault(pid, {
+                "shard": len(by_pid),
                 "mode": "processes",
-                "tripped": kind != "ok",
+                "members": 0,
+                "rows": 0,
+                "counters": Counter(),
+                "tripped": False,
                 "trip": None,
-            }
-            if kind == "ok":
-                _, _, pairs, members, counters, usage = outcome
-                for position, payload in pairs:
-                    produced[position] = payload
-                summary.update(
-                    members=members,
-                    rows=sum(self.payload_cardinality(p) for _, p in pairs),
-                    counters=counters,
+            })
+            summary["members"] += len(produced)
+            summary["rows"] += sum(map(self.payload_cardinality, produced))
+            summary["counters"].update(counters)
+            self._fold_process_counters(counters)
+            if parent_guard is not None and usage:
+                parent_guard.steps += int(usage.get("steps", 0))
+                parent_guard.nodes_scanned += int(usage.get("nodes_scanned", 0))
+            if trip is None:
+                continue
+            summary["tripped"] = True
+            summary["trip"] = trip.get("limit_name", "cancelled")
+            if error is None:
+                message = trip.pop("message")
+                error = (
+                    ResourceExhaustedError(message, **trip)
+                    if trip
+                    else QueryCancelledError(message)
                 )
-                self._fold_process_counters(counters)
-                if parent_guard is not None and usage:
-                    parent_guard.steps += int(usage.get("steps", 0))
-                    parent_guard.nodes_scanned += int(usage.get("nodes_scanned", 0))
-            elif kind == "tripped":
-                _, _, fields, members, counters = outcome
-                summary.update(members=members, rows=0, counters=counters, trip=fields["limit_name"])
-                self._fold_process_counters(counters)
-                if error is None:
-                    error = ResourceExhaustedError(
-                        fields["message"],
-                        limit_name=fields["limit_name"],
-                        limit=fields["limit"],
-                        spent=fields["spent"],
-                        seam=fields["seam"],
-                    )
-                    error.tripping_shard = index
-            else:  # cancelled
-                _, _, message, members, counters = outcome
-                summary.update(members=members, rows=0, counters=counters, trip="cancelled")
-                self._fold_process_counters(counters)
-                if error is None:
-                    error = QueryCancelledError(message)
-                    error.tripping_shard = index
-            summaries.append(summary)
-        summaries.sort(key=lambda summary: summary["shard"])
+                error.tripping_shard = summary["shard"]
         if self.op_metrics is not None:
-            self.op_metrics.shards = summaries
+            self.op_metrics.shards = list(by_pid.values())
         if error is not None:
             raise error
-        ordered = ((position, produced[position]) for position in sorted(produced))
+        ordered = (
+            (start, produced)
+            for (_, produced, *_), (start, _) in zip(outcomes, morsels)
+        )
         return self.emit(staged, ordered, equality)
 
     def _fold_process_counters(self, counters: dict[str, int]) -> None:
@@ -674,23 +679,15 @@ class ExchangeOp:
                 self.ctx.stats.bump(name, amount)
 
     def access_path(self) -> str:
-        return (
-            f"exchange-capable: {self.shard_strategy} shards + ordered merge,"
-            " gated per execution"
-        )
+        return "exchange-capable: morsels + ordered merge, gated per execution"
 
 
 class ParallelSelectFilter(ExchangeOp, SelectFilter):
-    """``select(p)(S)`` with the predicate fanned out across shards."""
+    """``select(p)(S)`` with the predicate fanned out across workers."""
 
     name = "parallel_select_filter"
 
-    def member_payload_fn(self) -> Callable[[Any], Any]:
-        return self.ctx.stats.counting(self.logical.predicate)
-
-    def process_payload_fn(self) -> tuple[Callable[[Any], Any], str | None]:
-        # The counting wrapper would bump the forked bag; count in the
-        # child sink instead and fold parent-side.
+    def payload_fn(self) -> tuple[Callable[[Any], Any], str | None]:
         return self.logical.predicate, "predicate_evals"
 
     def payload_cardinality(self, payload: Any) -> int:
@@ -698,30 +695,32 @@ class ParallelSelectFilter(ExchangeOp, SelectFilter):
 
     def emit(self, staged, merged, equality) -> Iterator[Any]:
         del equality  # input already deduplicated under it
-        for position, keep in merged:
-            if keep:
-                yield staged[position]
+        for start, keeps in merged:
+            for position, keep in enumerate(keeps, start):
+                if keep:
+                    yield staged[position]
 
 
 class ParallelApplyMap(ExchangeOp, ApplyMap):
-    """``apply(f)(S)`` with the images computed across shards.
+    """``apply(f)(S)`` with the images computed across workers.
 
     Dedup happens at the merge (main thread, global, first-seen in
-    source order) — per-shard dedup would be wrong whenever two shards
-    produce equal images.
+    source order) — per-worker dedup would be wrong whenever two
+    workers produce equal images.
     """
 
     name = "parallel_apply_map"
 
-    def member_payload_fn(self) -> Callable[[Any], Any]:
-        return self.logical.function
+    def payload_fn(self) -> tuple[Callable[[Any], Any], str | None]:
+        return self.logical.function, None
 
     def emit(self, staged, merged, equality) -> Iterator[Any]:
         del staged
         seen: set[Any] = set()
-        for _position, image in merged:
-            key = equality.key(image)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield image
+        for _start, images in merged:
+            for image in images:
+                key = equality.key(image)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield image

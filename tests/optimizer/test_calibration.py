@@ -57,3 +57,24 @@ def test_errors_are_symmetric_and_at_least_one():
         if row_error is not None:
             assert row_error >= 1.0
         assert record.cost_error() >= 1.0
+
+
+def test_apply_over_select_estimates_the_selects_output():
+    # apply/flatten preserve their input's cardinality: under a select
+    # the estimate is the select's, not the extent's full size (which
+    # EXPLAIN ANALYZE used to flag as many times off).
+    from repro.core.identity import Record
+    from repro.predicates import attr
+
+    db = Database()
+    db.insert_many(
+        [Record(name=f"p{i}", age=i % 60, city=f"C{i % 20}") for i in range(2000)],
+        "Person",
+    )
+    selected = Q.extent("Person").sselect(attr("age") > 30)
+    model = CostModel(db)
+    select_rows = model.estimated_rows(selected.build())
+    assert select_rows < db.extent_size("Person")
+    assert model.estimated_rows(selected.sapply(lambda p: p.name).build()) == select_rows
+    flattened = E.SetFlatten(selected.sapply(lambda p: {p.name}).build())
+    assert model.estimated_rows(flattened) == select_rows

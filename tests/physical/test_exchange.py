@@ -1,4 +1,4 @@
-"""Sharded parallel execution: exchange operators + ordered merge (PR 9).
+"""Parallel execution: morsel-driven exchange operators + ordered merge.
 
 The exchange contract: with ``AQUA_PARALLEL=on`` and enough input, the
 per-member work of ``select``/``apply`` fans out to worker shards and
@@ -10,7 +10,12 @@ enforcement), and per-shard metrics roll up under the exchange's plan
 path.
 """
 
+import queue
+import sys
 import threading
+import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,12 +32,6 @@ from repro.query import Q
 from repro.query.explain import render_analysis
 from repro.query.metrics import PlanMetrics
 from repro.storage import Database
-from repro.storage.sharding import (
-    covered_positions,
-    hash_shards,
-    plan_shards,
-    range_shards,
-)
 from repro.workloads import by_citizen_or_name, random_family_tree
 
 
@@ -76,55 +75,66 @@ SELECT = Q.extent("Person").sselect(attr("age") > 30).build()
 APPLY = Q.extent("Person").sapply(lambda p: p.age % 7).build()
 
 
-class TestShardPlanner:
-    def test_range_shards_are_contiguous_balanced_and_covering(self):
-        members = list(range(100))
-        shards = range_shards(members, 7)
-        assert covered_positions(shards) == list(range(100))
-        sizes = [len(s) for s in shards]
+class TestMorsels:
+    def test_morsels_are_contiguous_balanced_covering_and_ordered(self):
+        morsels = X.morsel_bounds(1000, 3)
+        assert len(morsels) == 3 * X.MORSELS_PER_WORKER
+        assert morsels[0][0] == 0 and morsels[-1][1] == 1000
+        for (_, end), (start, _) in zip(morsels, morsels[1:]):
+            assert end == start  # contiguous, in position order
+        sizes = [end - start for start, end in morsels]
         assert max(sizes) - min(sizes) <= 1
-        for shard in shards:
-            positions = [pos for pos, _ in shard]
-            assert positions == list(range(positions[0], positions[0] + len(shard)))
 
-    def test_range_with_fewer_members_than_shards_drops_empties(self):
-        shards = range_shards([10, 20], 7)
-        assert [len(s) for s in shards] == [1, 1]
+    def test_never_more_morsels_than_rows(self):
+        assert X.morsel_bounds(3, 4) == [(0, 1), (1, 2), (2, 3)]
 
-    def test_hash_covers_every_position_in_ascending_shard_order(self):
-        db = person_db(120)
-        members = list(db.extent("Person"))
-        shards = hash_shards(members, 5)
-        assert covered_positions(shards) == list(range(120))
-        for shard in shards:
-            positions = [pos for pos, _ in shard]
-            assert positions == sorted(positions)
+    def test_cursor_hands_out_each_morsel_once(self):
+        # More pullers than cores, switching threads as often as the
+        # interpreter allows: a lost update would hand an index out
+        # twice or skip one.
+        pull = X.morsel_cursor(5000)
+        seen: list[int] = []
 
-    def test_hash_is_deterministic_run_to_run(self):
-        db = person_db(50)
-        members = list(db.extent("Person"))
-        first = [[pos for pos, _ in shard] for shard in hash_shards(members, 4)]
-        second = [[pos for pos, _ in shard] for shard in hash_shards(members, 4)]
-        assert first == second
+        def drain():
+            while (index := pull()) is not None:
+                seen.append(index)
 
-    def test_hash_balances_stride_congruent_oids(self):
-        # Trees allocate a constant block of OIDs each, so their root
-        # OIDs stride by a constant that can share a factor with the
-        # shard count; the raw modulo once put ALL members in one
-        # bucket.  The mixed hash must spread them.
-        db = family_db(200, nodes=14)
-        members = list(db.extent("Families"))
-        shards = hash_shards(members, 4)
-        assert len(shards) == 4
-        assert max(len(s) for s in shards) < 200
+        threads = [threading.Thread(target=drain) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(seen) == list(range(5000))
 
-    def test_bad_count_and_strategy_raise(self):
-        with pytest.raises(ValueError):
-            range_shards([1], 0)
-        with pytest.raises(ValueError):
-            hash_shards([1], 0)
-        with pytest.raises(ValueError, match="zigzag"):
-            plan_shards([1], 2, "zigzag")
+    def test_workers_pull_around_a_slow_member(self):
+        # Skew: member 0 is far slower than the rest.  The worker that
+        # pulled the first morsel is stuck on it; its sibling must drain
+        # every other morsel meanwhile instead of waiting on a fixed
+        # partition behind it — and the first morsel, finishing last,
+        # must still be emitted first.
+        db = person_db()
+
+        def skewed(person):
+            if person.name == "p0":
+                time.sleep(0.3)
+            return person.age
+
+        expr = Q.extent("Person").sapply(skewed).build()
+        with parallel_scopes(mode="off"):
+            sequential = run_plan(expr, db)
+        metrics = PlanMetrics()
+        with parallel_scopes(workers=2):
+            parallel = run_plan(expr, db, metrics=metrics)
+        assert list(parallel) == list(sequential)
+        members = sorted(s["members"] for s in metrics.get(()).shards)
+        first_morsel = X.morsel_bounds(300, 2)[0][1]
+        assert members == [first_morsel, 300 - first_morsel]
 
 
 class TestOrderedParity:
@@ -152,15 +162,6 @@ class TestOrderedParity:
             sequential = run_plan(APPLY, db)
         with parallel_scopes(workers=workers):
             parallel = run_plan(APPLY, db)
-        assert list(sequential) == list(parallel)
-
-    def test_range_strategy_parity(self, monkeypatch):
-        monkeypatch.setattr(X.ParallelSelectFilter, "shard_strategy", "range")
-        db = person_db()
-        with parallel_scopes(mode="off"):
-            sequential = run_plan(SELECT, db)
-        with parallel_scopes():
-            parallel = run_plan(SELECT, db)
         assert list(sequential) == list(parallel)
 
     def test_off_knob_runs_the_inherited_operator_with_zero_buffering(self):
@@ -204,6 +205,89 @@ class TestOrderedParity:
         root = metrics.get(())
         assert root.counters["exchange_fanouts"] == 1
         assert root.counters["exchange_shards"] >= 2
+
+
+class SpyQueue(queue.Queue):
+    """A result queue that counts what the workers post, by kind."""
+
+    instances: list["SpyQueue"] = []
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.posted: Counter = Counter()
+        SpyQueue.instances.append(self)
+
+    def put(self, item, *args, **kwargs) -> None:
+        self.posted[item[0]] += 1
+        super().put(item, *args, **kwargs)
+
+
+class TestHandOff:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_one_message_per_morsel_not_per_row(self, monkeypatch, workers):
+        monkeypatch.setattr(X, "queue", SimpleNamespace(Queue=SpyQueue))
+        SpyQueue.instances = []
+        rows = 1200
+        db = person_db(rows)
+        with parallel_scopes(mode="off"):
+            sequential = run_plan(SELECT, db)
+        with parallel_scopes(workers=workers):
+            parallel = run_plan(SELECT, db)
+        assert list(parallel) == list(sequential)
+        (spy,) = SpyQueue.instances
+        morsels = len(X.morsel_bounds(rows, workers))
+        assert spy.posted["morsel"] == morsels
+        assert spy.posted["done"] == workers
+        assert sum(spy.posted.values()) <= morsels + workers + 1
+        assert sum(spy.posted.values()) < rows // 10
+
+
+def no_exchange_threads_left() -> bool:
+    alive = [t for t in threading.enumerate() if t.name.startswith("aqua-exchange-")]
+    return not alive and X.WORKER_BUDGET.outstanding == 0
+
+
+def slow_age(person):
+    time.sleep(0.001)
+    return person.age
+
+
+class TestWorkerHygiene:
+    """Every exit path joins the workers and returns their slots."""
+
+    def test_after_a_worker_budget_trip(self):
+        db = person_db()
+
+        def hot(person):
+            current_guard().tick(50, "test payload")
+            return person.age
+
+        expr = Q.extent("Person").sapply(hot).build()
+        with parallel_scopes():
+            with pytest.raises(ResourceExhaustedError):
+                run_plan(expr, db, budget=Budget(max_steps=2000))
+        assert no_exchange_threads_left()
+
+    def test_after_a_main_thread_trip(self):
+        # max_results is checked on the query thread as it pulls the
+        # exchange's output — the trip happens while workers still run.
+        db = person_db()
+        expr = Q.extent("Person").sapply(slow_age).build()
+        with parallel_scopes():
+            with pytest.raises(ResourceExhaustedError) as excinfo:
+                run_plan(expr, db, budget=Budget(max_results=3))
+        assert excinfo.value.limit_name == "max_results"
+        assert no_exchange_threads_left()
+
+    def test_after_the_consumer_closes_the_stream_early(self):
+        db = person_db()
+        plan = lower(Q.extent("Person").sapply(slow_age).build(), db)
+        with parallel_scopes():
+            plan.root.open(ExecutionContext(db=db))
+            first = plan.root.next()
+            plan.root.close()
+        assert first == 0  # p0's age: the merge yields in source order
+        assert no_exchange_threads_left()
 
 
 class TestWorkerBudget:
@@ -346,8 +430,7 @@ class TestBudgetPropagation:
                 run_plan(expr, db, budget=Budget(max_nodes_scanned=1000))
         assert excinfo.value.limit_name == "max_nodes_scanned"
 
-    def test_parallel_workers_honor_cancellation(self, monkeypatch):
-        monkeypatch.setattr(X.ParallelApplyMap, "shard_strategy", "range")
+    def test_parallel_workers_honor_cancellation(self):
         db = person_db()
         token = CancellationToken()
 

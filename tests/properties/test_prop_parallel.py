@@ -3,9 +3,11 @@
 The exchange contract under randomized inputs: a parallel run is
 indistinguishable from the sequential one — member order, set equality,
 dedup of apply images — across the three workload families (family
-forests / song lists / RNA structures), worker counts {1, 2, 7}, both
-tree engines, and including runs that trip a budget mid-stream (both
-legs must land in the same outcome class).
+forests / song lists / RNA structures), a family forest with one member
+50× the size of the rest (skew: the workers pulling morsels must still
+merge back in source order), worker counts {1, 2, 7}, both tree
+engines, and including runs that trip a budget mid-stream (both legs
+must land in the same outcome class).
 
 Forests carry ≥260 members so the static lowering gate (break-even
 ≈256 rows) chooses the exchange plan; ``parallel_scope("off")`` is the
@@ -15,7 +17,7 @@ sequential leg, so one lowered shape serves both.
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import config
@@ -43,6 +45,9 @@ MODES = [(w, e) for w in WORKERS for e in ENGINES]
 #: Members per extent — just past the lowering gate's ~256-row break-even.
 FOREST = 260
 
+#: Node counts of the skewed forest: one giant member among small ones.
+SMALL_TREE, GIANT_TREE = 10, 500
+
 
 @lru_cache(maxsize=8)
 def family_db(seed: int) -> Database:
@@ -55,6 +60,27 @@ def family_db(seed: int) -> Database:
         "Families",
     )
     return db
+
+
+@lru_cache(maxsize=8)
+def skewed_family_db(seed: int) -> Database:
+    giant = (seed * 97) % FOREST
+    db = Database()
+    db.insert_many(
+        [
+            random_family_tree(
+                GIANT_TREE if i == giant else SMALL_TREE,
+                seed=seed * FOREST + i,
+                planted_matches=1 + i % 2,
+            )
+            for i in range(FOREST)
+        ],
+        "Families",
+    )
+    return db
+
+
+FORESTS = {"uniform": family_db, "skewed": skewed_family_db}
 
 
 @lru_cache(maxsize=8)
@@ -121,9 +147,10 @@ def both_legs(query, db, workers, engine, *, max_steps=None):
 
 @pytest.mark.parametrize("workers,engine", MODES)
 @SETTINGS
-@given(seed=st.integers(0, 3))
-def test_family_apply_bit_identical(workers, engine, seed):
-    db = family_db(seed)
+@given(seed=st.integers(0, 3), forest=st.sampled_from(sorted(FORESTS)))
+@example(seed=1, forest="skewed")
+def test_family_apply_bit_identical(workers, engine, seed, forest):
+    db = FORESTS[forest](seed)
     query = Q.extent("Families").sapply(family_pieces).build()
     sequential, parallel = both_legs(query, db, workers, engine)
     assert sequential[0] == "ok" and parallel[0] == "ok"
