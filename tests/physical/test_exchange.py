@@ -76,14 +76,18 @@ APPLY = Q.extent("Person").sapply(lambda p: p.age % 7).build()
 
 
 class TestMorsels:
-    def test_morsels_are_contiguous_balanced_covering_and_ordered(self):
+    def test_morsels_are_contiguous_and_balanced(self):
         morsels = X.morsel_bounds(1000, 3)
         assert len(morsels) == 3 * X.MORSELS_PER_WORKER
-        assert morsels[0][0] == 0 and morsels[-1][1] == 1000
         for (_, end), (start, _) in zip(morsels, morsels[1:]):
-            assert end == start  # contiguous, in position order
+            assert end == start  # contiguous, no gap and no overlap
         sizes = [end - start for start, end in morsels]
         assert max(sizes) - min(sizes) <= 1
+
+    def test_morsels_cover_every_position_in_order(self):
+        morsels = X.morsel_bounds(1000, 3)
+        positions = [i for start, end in morsels for i in range(start, end)]
+        assert positions == list(range(1000))
 
     def test_never_more_morsels_than_rows(self):
         assert X.morsel_bounds(3, 4) == [(0, 1), (1, 2), (2, 3)]
